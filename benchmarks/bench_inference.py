@@ -1,18 +1,12 @@
 """Batched packed inference engine: end-to-end throughput + noise curves.
 
-Two measurements, recorded into ``BENCH_inference.json`` at the repo root
+Four measurements, recorded into ``BENCH_inference.json`` at the repo root
 (CI uploads the smoke sibling per PR):
 
 * end-to-end images/sec of the dense layer-by-layer forward pass vs the
   batched packed :class:`repro.bnn.model.InferenceEngine` on MLP and CNN
   workloads, with a bit-exactness check between the two paths — the packed
   engine must clear the committed speedup floors;
-* multi-worker ``forward_batch`` throughput vs the serial chunk loop (the
-  engine's per-chunk parallel seam through the :mod:`repro.runtime` thread
-  backend), bit-exactness checked against the serial path;
-* the shared-memory chunk transport (PR 8) vs pickled chunk shipping over
-  the **process** backend — same executor, ``REPRO_RUNTIME_SHM`` toggled
-  between the two timed paths, both bit-exact against the serial oracle;
 * the persistent kernel-autotune cache: cold (measure + persist) vs warm
   (cache-file hit) parameter resolution against a fresh cache directory;
 * the streaming packed pipeline (PR 10): serial chunk loop vs
@@ -25,7 +19,7 @@ Two measurements, recorded into ``BENCH_inference.json`` at the repo root
   scenario the analytical sweeps cannot provide.
 
 All repeated timings run through :func:`repro.runtime.measure.measure_pair`
-— the same runtime layer the sweeps and the engine execute on.
+— the same runtime layer the sweeps execute on.
 
 Run with ``pytest benchmarks/bench_inference.py -s`` (add ``--smoke`` for
 the CI-sized configuration).
@@ -45,8 +39,7 @@ from repro.bnn.networks import build_network
 from repro.bnn.pipeline import StreamingPipeline, plan_signature
 from repro.eval.reporting import host_info, write_json_report
 from repro.eval.sweep import AccuracySweepGrid, run_accuracy_sweep
-from repro.runtime import ProcessExecutor, ThreadExecutor, measure_pair
-from repro.runtime.shm import SHM_ENV
+from repro.runtime import measure_pair
 from repro.utils.rng import make_rng
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -92,86 +85,6 @@ def _time_network(name: str, batch: int, reps: int) -> dict:
         "speedup_vs_dense": speedup,
         "_engine": engine,
         "_images": images,
-    }
-
-
-def _time_parallel_chunks(engine: InferenceEngine, images: np.ndarray, *,
-                          workers: int, reps: int) -> dict:
-    """Serial vs multi-worker per-chunk throughput of ``forward_batch``.
-
-    Chunks fan out over the thread backend — NumPy's kernels release the
-    GIL, so this measures the engine's real multi-core headroom without
-    pickling the engine per chunk (the honest single-host configuration;
-    CI containers may report ~1x on a single core).
-    """
-    total = images.shape[0]
-    chunk = max(1, total // max(workers * 2, 2))
-    serial_ref = engine.forward_batch(images, batch_size=chunk)
-    with ThreadExecutor(workers) as executor:
-        parallel_out = engine.forward_batch(images, batch_size=chunk,
-                                            executor=executor)
-        bit_exact = bool(np.array_equal(serial_ref, parallel_out))
-        parallel_m, serial_m, speedup = measure_pair(
-            lambda: engine.forward_batch(images, batch_size=chunk,
-                                         executor=executor),
-            lambda: engine.forward_batch(images, batch_size=chunk),
-            reps=reps, label=f"chunks-x{workers}",
-        )
-    return {
-        "backend": "thread",
-        "workers": workers,
-        "chunk_size": chunk,
-        "bit_exact": bit_exact,
-        "serial_images_per_s": serial_m.throughput(total),
-        "parallel_images_per_s": parallel_m.throughput(total),
-        "speedup_vs_serial": speedup,
-    }
-
-
-def _time_shm_transport(engine: InferenceEngine, images: np.ndarray, *,
-                        workers: int, reps: int) -> dict:
-    """Shared-memory vs pickled chunk transport over the process backend.
-
-    The same :class:`ProcessExecutor` runs both timed paths; only
-    ``REPRO_RUNTIME_SHM`` differs (the engine re-reads the mode on every
-    ``forward_batch`` call).  Shared memory ships each input chunk as a
-    descriptor and writes results into a preallocated output segment, so
-    the delta is exactly the pickle + pipe traffic the transport removes.
-    """
-    total = images.shape[0]
-    chunk = max(1, total // max(workers * 2, 2))
-    serial_ref = engine.forward_batch(images, batch_size=chunk)
-    previous = os.environ.get(SHM_ENV)
-
-    def _run(mode: str, executor: ProcessExecutor) -> np.ndarray:
-        os.environ[SHM_ENV] = mode
-        return engine.forward_batch(images, batch_size=chunk,
-                                    executor=executor)
-
-    try:
-        with ProcessExecutor(workers) as executor:
-            shm_out = _run("auto", executor)
-            pickle_out = _run("off", executor)
-            bit_exact = bool(np.array_equal(serial_ref, shm_out)
-                             and np.array_equal(serial_ref, pickle_out))
-            shm_m, pickle_m, speedup = measure_pair(
-                lambda: _run("auto", executor),
-                lambda: _run("off", executor),
-                reps=reps, label=f"shm-x{workers}",
-            )
-    finally:
-        if previous is None:
-            os.environ.pop(SHM_ENV, None)
-        else:
-            os.environ[SHM_ENV] = previous
-    return {
-        "backend": "process",
-        "workers": workers,
-        "chunk_size": chunk,
-        "bit_exact": bit_exact,
-        "pickle_images_per_s": pickle_m.throughput(total),
-        "shm_images_per_s": shm_m.throughput(total),
-        "speedup_vs_pickle": speedup,
     }
 
 
@@ -327,32 +240,6 @@ def test_inference_engine(benchmark, smoke):
     engine, images, batch = bench_target
     benchmark(lambda: engine.predict_batch(images, batch_size=batch))
 
-    # the per-chunk parallel seam: multi-worker img/s vs the serial loop
-    parallel = _time_parallel_chunks(
-        engine, images, workers=2 if smoke else 4, reps=3 if smoke else 5
-    )
-    print(
-        f"\nforward_batch chunks x{parallel['workers']} "
-        f"({parallel['backend']}): serial "
-        f"{parallel['serial_images_per_s']:.1f} img/s, parallel "
-        f"{parallel['parallel_images_per_s']:.1f} img/s "
-        f"({parallel['speedup_vs_serial']:.2f}x, bit-exact "
-        f"{parallel['bit_exact']})"
-    )
-    assert parallel["bit_exact"]
-
-    # the zero-copy transport: shm vs pickled chunks on the process backend
-    shm = _time_shm_transport(
-        engine, images, workers=2 if smoke else 4, reps=3 if smoke else 5
-    )
-    print(
-        f"forward_batch shm x{shm['workers']} ({shm['backend']}): pickle "
-        f"{shm['pickle_images_per_s']:.1f} img/s, shm "
-        f"{shm['shm_images_per_s']:.1f} img/s "
-        f"({shm['speedup_vs_pickle']:.2f}x, bit-exact {shm['bit_exact']})"
-    )
-    assert shm["bit_exact"]
-
     # the streaming packed pipeline: stage-overlapped vs serial chunk loop
     if smoke:
         streaming_configs = [("MLP-S", 64, 16, 3), ("CNN-M", 8, 2, 3)]
@@ -424,8 +311,6 @@ def test_inference_engine(benchmark, smoke):
         "smoke": smoke,
         "host": host_info(),
         "networks": networks,
-        "parallel_forward_batch": parallel,
-        "shm_transport": shm,
         "streaming_pipeline": streaming,
         "autotune": tune,
         "accuracy_sweep": accuracy.to_payload(),

@@ -4,7 +4,7 @@
 Extracts the key metrics of the committed benchmark artifacts — conv-kernel
 speedups and the dir/object queue-store protocol overheads from
 ``BENCH_sweep.json``, end-to-end packed img/s and speedups plus the
-multi-worker chunk seam from ``BENCH_inference.json``, the serving
+streaming-pipeline and autotune figures from ``BENCH_inference.json``, the serving
 layer's per-flush-policy req/s + latency percentiles from
 ``BENCH_serving.json``, and the fleet's goodput-under-faults ratio and
 recovery times from ``BENCH_chaos.json`` — and
@@ -47,8 +47,6 @@ TREND_METRICS = {
     "conv_packed_speedup_vs_loop": (
         "sweep", "conv_kernel_bench.kernels.packed.speedup_vs_loop_reference"),
     "sweep_warm_seconds": ("sweep", "sweep_warm_seconds"),
-    "parallel_chunk_speedup": (
-        "inference", "parallel_forward_batch.speedup_vs_serial"),
     "queue_overhead_ms_per_task_dir": (
         "sweep",
         "queue_fleet_bench.stores.dir.protocol_overhead_ms_per_task"),
@@ -63,7 +61,6 @@ TREND_METRICS = {
         "sweep",
         "queue_fleet_bench.stores.object.tasks_per_claim.16"
         ".protocol_overhead_ms_per_task"),
-    "shm_chunk_speedup": ("inference", "shm_transport.speedup_vs_pickle"),
     "autotune_cache_hit": ("inference", "autotune.cache_hit"),
     "streaming_pipeline_speedup": (
         "inference", "streaming_pipeline.speedup_vs_serial"),

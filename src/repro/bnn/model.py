@@ -21,7 +21,6 @@ the service and every micro-batch flush runs through
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -42,13 +41,6 @@ from repro.bnn.xnor_ops import (
     SIGN_GE,
     SIGN_LE,
     SignSpec,
-)
-from repro.runtime.executors import Executor, resolve_executor
-from repro.runtime.shm import (
-    ArrayDescriptor,
-    SharedArrayPool,
-    attach_view,
-    use_shm_transport,
 )
 from repro.utils.rng import derive_seed, make_rng
 
@@ -274,59 +266,6 @@ def fold_batchnorm_sign(batch_norm: Optional[BatchNorm], num_channels: int,
     return SignSpec(mode=mode, threshold=threshold, constant=constant)
 
 
-class _ChunkTask:
-    """Picklable task running one ``(offset, chunk)`` pair of an engine.
-
-    A plain callable object (not a closure or bound method partial-ism)
-    so the process/queue backends of :mod:`repro.runtime` can ship it by
-    pickle; the engine itself pickles because its plan holds only layers,
-    numpy arrays and (since :class:`repro.eval.robustness.PopcountFlipRate`
-    became a dataclass) picklable flip-rate callables.
-    """
-
-    def __init__(self, engine: "InferenceEngine") -> None:
-        self.engine = engine
-
-    def __call__(self, item: Tuple[int, np.ndarray]) -> np.ndarray:
-        offset, chunk = item
-        return self.engine._run_chunk(chunk, offset)
-
-
-class _ShmChunkTask:
-    """Chunk task whose input/output ride shared memory, not pickle.
-
-    Items are ``(start, stop)`` row ranges; the input batch and the
-    output rows live in the parent's :class:`SharedArrayPool` segments
-    and are referenced by descriptor, so the per-task pickle is the
-    engine (once per worker via the shared-fn path) plus a few dozen
-    bytes.  Workers attach the input read-only, compute the chunk with
-    its true row offset (flip-noise streams derive from it — bit-exact
-    with the serial path), and write the rows into the output segment,
-    returning ``(start, None)``.  If the engine produces rows the
-    preallocated segment cannot hold (shape/dtype drift), the rows fall
-    back to the pickle path as ``(start, rows)`` and the parent patches
-    them in — a slow path, never a wrong one.
-    """
-
-    def __init__(self, engine: "InferenceEngine", input_desc: ArrayDescriptor,
-                 output_desc: ArrayDescriptor) -> None:
-        self.engine = engine
-        self.input_desc = input_desc
-        self.output_desc = output_desc
-
-    def __call__(self, item: Tuple[int, int]
-                 ) -> Tuple[int, Optional[np.ndarray]]:
-        start, stop = item
-        batch = attach_view(self.input_desc, readonly=True)
-        rows = self.engine._run_chunk(batch[start:stop], start)
-        out = attach_view(self.output_desc, readonly=False)
-        target = out[start:stop]
-        if rows.shape == target.shape and rows.dtype == out.dtype:
-            target[...] = rows
-            return (start, None)
-        return (start, rows)
-
-
 class InferenceEngine:
     """Batched end-to-end inference with activations packed between layers.
 
@@ -386,8 +325,6 @@ class InferenceEngine:
         self._flip_rate = flip_rate
         model.eval()
         self._steps: List[_PlanStep] = []
-        self._probe_cache: Dict[Tuple[Tuple[int, ...], str],
-                                Optional[np.ndarray]] = {}
         self.refresh()
 
     # ------------------------------------------------------------------ #
@@ -404,7 +341,6 @@ class InferenceEngine:
 
     def refresh(self) -> None:
         """Recompile the plan (after weight / batch-norm mutations)."""
-        self._probe_cache.clear()
         layers = self.model.layers
         for layer in layers:
             # direct weight mutations bypass the training-protocol
@@ -522,9 +458,6 @@ class InferenceEngine:
                                               len(self._steps)))
 
     def forward_batch(self, x: np.ndarray, *, batch_size: int = 256,
-                      workers: Optional[int] = None,
-                      backend: Optional[str] = None,
-                      executor: Optional[Executor] = None,
                       pipeline: Optional[str] = None) -> np.ndarray:
         """Logits for a whole image batch through the packed plan.
 
@@ -535,165 +468,42 @@ class InferenceEngine:
         pass over identical chunks; the binary layers are exact integer
         arithmetic at any chunking.
 
-        The per-chunk loop is the engine's parallel seam: chunks are
-        independent (flip-noise streams derive from each chunk's offset),
-        so they fan out across any :mod:`repro.runtime` backend via
-        ``workers=`` (process pool), ``backend=`` (``"serial"`` /
-        ``"thread"`` / ``"process"`` / ``"queue"``) or a caller-owned
-        ``executor=``.  Outputs are reassembled in offset order, so every
-        backend is bit-exact with the serial path for a given
-        ``(seed, batch_size)``.  The default stays serial — chunk-level
-        parallelism is opt-in per call, and deliberately ignores the
-        ``REPRO_RUNTIME_BACKEND`` toggle so sweep workers (which may
-        themselves be pool processes that cannot spawn children) can call
-        engines safely.
+        Chunks run one after another in offset order.  Flip-noise streams
+        derive from each chunk's offset, so a result depends only on
+        ``(seed, batch_size)``.  The parallelism of the simulated hardware
+        lives inside the mapped layers (crossbar rows, WDM wavelengths),
+        not in a host-side fan-out of chunks.
 
-        When the executor is a same-host process pool (or a queue
-        executor with ``REPRO_RUNTIME_SHM=on``), chunk inputs and result
-        rows ride shared memory instead of pickle: the batch is shipped
-        once into a :class:`repro.runtime.shm.SharedArrayPool` segment
-        and tasks carry only ``(start, stop)`` plus descriptors — see
-        :mod:`repro.runtime.shm` for the gating and cleanup rules.  The
-        transport never changes results, only the wire format.
-
-        ``pipeline=`` selects the *streaming packed pipeline* on the
-        serial path: the plan is split into stages (dense prefix, packed
-        binary body, dense tail) that run on their own threads connected
-        by bounded queues, so chunk *k+1*'s BLAS prefix overlaps chunk
-        *k*'s XNOR/popcount body.  ``"on"`` forces it, ``"off"`` disables
-        it, ``"auto"`` defers to the per-host autotune cache, and ``None``
-        (the default) reads the ``REPRO_ENGINE_PIPELINE`` env toggle
-        (itself defaulting to ``"auto"``).  The pipeline preserves chunk
-        boundaries and flip-noise seed derivation, so its output is
-        byte-identical to the serial path.  It is a serial-path
-        optimisation: combining an explicit ``pipeline=`` argument with
-        ``executor=``/``backend=``/``workers=`` raises, while an
-        env-provided ``"on"`` silently defers to the chunk-parallel
-        executor.  See :mod:`repro.bnn.pipeline` and ``docs/runtime.md``.
+        ``pipeline=`` selects the *streaming packed pipeline*: the plan is
+        split into stages (dense prefix, packed binary body, dense tail)
+        that run on their own threads connected by bounded queues, so
+        chunk *k+1*'s BLAS prefix overlaps chunk *k*'s XNOR/popcount body.
+        ``"on"`` forces it, ``"off"`` disables it, ``"auto"`` defers to the
+        per-host autotune cache, and ``None`` (the default) reads the
+        ``REPRO_ENGINE_PIPELINE`` env toggle (itself defaulting to
+        ``"auto"``).  The pipeline preserves chunk boundaries and
+        flip-noise seed derivation, so its output is byte-identical to the
+        chunk loop.  See :mod:`repro.bnn.pipeline` and ``docs/runtime.md``.
         """
         x = np.asarray(x)
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if x.shape[0] == 0:
             raise ValueError("forward_batch needs at least one sample")
-        parallel = (executor is not None or backend is not None
-                    or bool(workers))
-        if pipeline is not None and parallel:
-            raise ValueError(
-                "pipeline= applies to the serial path only; drop "
-                "executor=/backend=/workers= or pass pipeline=None"
-            )
-        if not parallel:
-            from repro.bnn.pipeline import maybe_stream
+        from repro.bnn.pipeline import maybe_stream
 
-            streamed = maybe_stream(self, x, batch_size, pipeline)
-            if streamed is not None:
-                return streamed
-        if executor is not None:
-            return self._dispatch_chunks(x, batch_size, executor)
-        with resolve_executor(backend=backend, workers=workers,
-                              env=False) as runner:
-            return self._dispatch_chunks(x, batch_size, runner)
+        streamed = maybe_stream(self, x, batch_size, pipeline)
+        if streamed is not None:
+            return streamed
+        return np.concatenate([
+            self._run_chunk(x[start:start + batch_size], start)
+            for start in range(0, x.shape[0], batch_size)
+        ], axis=0)
 
-    def _dispatch_chunks(self, x: np.ndarray, batch_size: int,
-                         runner: Executor) -> np.ndarray:
-        starts = range(0, x.shape[0], batch_size)
-        if len(starts) > 1 and use_shm_transport(runner):
-            return self._forward_batch_shm(x, batch_size, runner)
-        items = [(start, x[start:start + batch_size]) for start in starts]
-        outputs = runner.map(_ChunkTask(self), items)
-        return np.concatenate(outputs, axis=0)
-
-    def _probe_rows(self, x: np.ndarray) -> Optional[np.ndarray]:
-        """Zero-row dry run revealing the output row shape and dtype.
-
-        Every kernel on the plan is shape-polymorphic over an empty batch,
-        so this costs microseconds; ``None`` signals the caller to fall
-        back to probing with the first real chunk instead.  Memoised per
-        input signature (``refresh()`` drops the memo) so repeated
-        forward_batch calls pay the dry run once.
-        """
-        key = (x.shape[1:], x.dtype.str)
-        if key not in self._probe_cache:
-            try:
-                self._probe_cache[key] = self._run_chunk(x[:0], 0)
-            except Exception:
-                self._probe_cache[key] = None
-        return self._probe_cache[key]
-
-    def _forward_batch_shm(self, x: np.ndarray, batch_size: int,
-                           runner: Executor) -> np.ndarray:
-        # The first chunk runs in-parent, but the worker chunks must be
-        # submitted *before* it starts or the parent's compute serialises
-        # ahead of pool spin-up instead of overlapping it.  A zero-row dry
-        # run reveals the output row shape/dtype up front; only if that
-        # probe fails does the first real chunk take over the probing role
-        # (the pre-fix ordering, kept as the slow-but-safe path).
-        probe = self._probe_rows(x)
-        first_stop = min(batch_size, x.shape[0])
-        if probe is None:
-            first = self._run_chunk(x[:first_stop], 0)
-            probe, prerun = first, first
-        else:
-            prerun = None
-        out_shape = (x.shape[0],) + probe.shape[1:]
-        with SharedArrayPool() as pool:
-            input_desc = pool.share(x)
-            output_desc = pool.allocate(out_shape, probe.dtype)
-            items = [
-                (start, min(start + batch_size, x.shape[0]))
-                for start in range(batch_size, x.shape[0], batch_size)
-            ]
-            task = _ShmChunkTask(self, input_desc, output_desc)
-            if prerun is None:
-                # overlap the parent's chunk with the pool: a helper thread
-                # computes chunk 0 (the kernels release the GIL) while the
-                # main thread blocks in runner.map submitting the rest
-                holder: Dict[str, object] = {}
-
-                def _first_chunk() -> None:
-                    try:
-                        holder["rows"] = self._run_chunk(x[:first_stop], 0)
-                    except BaseException as exc:  # re-raised in the parent
-                        holder["error"] = exc
-
-                worker = threading.Thread(target=_first_chunk,
-                                          name="repro-shm-first-chunk")
-                worker.start()
-                try:
-                    fallbacks = runner.map(task, items)
-                finally:
-                    worker.join()
-                if "error" in holder:
-                    raise holder["error"]  # type: ignore[misc]
-                first = holder["rows"]  # type: ignore[assignment]
-            else:
-                fallbacks = runner.map(task, items)
-            if first.shape[1:] == out_shape[1:] and first.dtype == probe.dtype:
-                pool.view(output_desc)[:first.shape[0]] = first
-                result = pool.read(output_desc)
-                for start, rows in fallbacks:
-                    if rows is not None:
-                        result[start:start + rows.shape[0]] = rows
-                return result
-        # the dry run mis-predicted the row shape: the segment is useless
-        # and every worker fell back to pickle rows — reassemble from those
-        parts = {0: first}
-        for start, rows in fallbacks:
-            parts[start] = rows
-        return np.concatenate(
-            [parts[start] for start in sorted(parts)], axis=0
-        )
-
-    def predict_batch(self, x: np.ndarray, *, batch_size: int = 256,
-                      **runtime_kwargs) -> np.ndarray:
-        """Arg-max class indices for a whole image batch.
-
-        ``runtime_kwargs`` (``workers=``, ``backend=``, ``executor=``)
-        forward to :meth:`forward_batch`.
-        """
-        logits = self.forward_batch(x, batch_size=batch_size,
-                                    **runtime_kwargs)
+    def predict_batch(self, x: np.ndarray, *,
+                      batch_size: int = 256) -> np.ndarray:
+        """Arg-max class indices for a whole image batch."""
+        logits = self.forward_batch(x, batch_size=batch_size)
         return np.argmax(logits, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

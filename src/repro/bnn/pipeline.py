@@ -84,7 +84,7 @@ def pipeline_mode(pipeline: Optional[str] = None) -> str:
     """Resolve the effective mode: explicit argument, else env, else auto.
 
     An invalid explicit argument raises; an invalid env value falls back
-    to ``"auto"`` (same leniency as ``REPRO_RUNTIME_SHM``).
+    to ``"auto"``, so a stale fleet-wide setting never breaks a caller.
     """
     if pipeline is not None:
         if pipeline not in _MODES:

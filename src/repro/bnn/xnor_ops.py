@@ -853,8 +853,8 @@ def fused_conv2d_sign(x: PackedTensor, weights: PackedWeights,
         )[:, ::stride, ::stride]
         # (B, OH, OW, nbytes, k, k) -> (k, k, nbytes) byte rows, matching the
         # per-position padding of pack_conv_weights so padding bits cancel;
-        # the row width is spelled out (not -1) so zero-row batches — the
-        # shm transport's shape-probing dry run — reshape unambiguously
+        # the row width is spelled out (not -1) so zero-row batches reshape
+        # unambiguously: numpy cannot infer -1 next to a zero-length axis
         patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
             num_rows, kernel_size * kernel_size * data.shape[-1])
         patches = np.ascontiguousarray(patches)
@@ -891,8 +891,8 @@ def packed_maxpool2d(x: PackedTensor, kernel_size: int, stride: int) -> PackedTe
     windows = np.lib.stride_tricks.sliding_window_view(
         x.data, (kernel_size, kernel_size), axis=(1, 2)
     )[:, ::stride, ::stride]
-    # the window extent is spelled out (not -1) so zero-row batches — the
-    # shm transport's shape-probing dry run — reshape unambiguously
+    # the window extent is spelled out (not -1) so zero-row batches reshape
+    # unambiguously: numpy cannot infer -1 next to a zero-length axis
     pooled = np.bitwise_or.reduce(
         windows.reshape(batch, out_h, out_w, x.data.shape[-1],
                         kernel_size * kernel_size),

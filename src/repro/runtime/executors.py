@@ -86,10 +86,11 @@ class SerialExecutor(Executor):
 class ThreadExecutor(Executor):
     """Thread-pool execution sharing the caller's memoisation caches.
 
-    Suited to tasks dominated by GIL-releasing NumPy kernels (the packed
-    inference chunks, BLAS matmuls).  Tasks must not mutate shared state in
-    ways that change *values*; benign races on memoisation caches (two
-    threads computing the same deterministic entry) are fine.
+    Suited to tasks dominated by GIL-releasing NumPy kernels (BLAS
+    matmuls, the packed XNOR/popcount kernels of accuracy-sweep points).
+    Tasks must not mutate shared state in ways that change *values*;
+    benign races on memoisation caches (two threads computing the same
+    deterministic entry) are fine.
     """
 
     name = "thread"
@@ -157,9 +158,9 @@ class ProcessExecutor(Executor):
             if len(fns) == 1:
                 # the common map() shape: one shared fn.  Passing it as the
                 # pool.map callable pickles it once per dispatch batch, not
-                # once per task — a heavyweight callable (e.g. a _ChunkTask
-                # holding a whole packed InferenceEngine) must not cross
-                # the IPC boundary once per chunk
+                # once per task — a heavyweight callable (e.g. a bound
+                # method of an object holding large numpy arrays) must not
+                # cross the IPC boundary once per item
                 return pool.map(worklist.tasks[0].fn,
                                 [task.arg for task in worklist])
             pairs = [(task.fn, task.arg) for task in worklist]
@@ -257,15 +258,14 @@ def backend_from_env() -> Optional[str]:
 
 def resolve_executor(*, backend: Optional[str] = None,
                      workers: Optional[int] = None,
-                     env: bool = True,
                      options: Optional[Dict[str, object]] = None) -> Executor:
     """Resolve the executor for a ``(backend=, workers=)`` call-site pair.
 
-    Precedence: an explicit ``backend`` wins; otherwise :data:`BACKEND_ENV`
-    (when ``env`` is true); otherwise the historical ``workers`` semantics —
-    ``None``/``0``/``1`` run serially, larger counts select the process
-    backend (exactly what ``run_sweep(workers=...)`` did before the runtime
-    layer existed, so existing callers keep their behaviour bit-for-bit).
+    Precedence: an explicit ``backend`` wins; otherwise :data:`BACKEND_ENV`;
+    otherwise the historical ``workers`` semantics — ``None``/``0``/``1``
+    run serially, larger counts select the process backend (exactly what
+    ``run_sweep(workers=...)`` did before the runtime layer existed, so
+    existing callers keep their behaviour bit-for-bit).
 
     ``options`` (backend-specific constructor keywords, e.g. the queue
     backend's ``lease_s``/``max_retries``/``compact_threshold``) requires
@@ -275,7 +275,7 @@ def resolve_executor(*, backend: Optional[str] = None,
     if workers is not None and workers < 0:
         raise ValueError("workers must be non-negative")
     effective_workers = workers if workers else None
-    if backend is None and env:
+    if backend is None:
         backend = backend_from_env()
     if backend is not None:
         return make_executor(backend, workers=effective_workers,

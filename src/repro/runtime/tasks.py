@@ -3,16 +3,16 @@
 The runtime layer deliberately models the *simplest* unit of parallel work
 the repository needs: an ordered list of independent tasks, each a pure
 function of one self-contained argument.  Every parallel seam in the repo —
-sweep grid points, packed inference chunks, repeated benchmark measurements
-— already has this shape: the argument carries its own derived seed (see
+sweep grid points, repeated benchmark measurements — already has this
+shape: the argument carries its own derived seed (see
 :func:`repro.utils.rng.derive_seed`), so results are deterministic no matter
 which backend runs the tasks or in what order they finish.
 
 A :class:`WorkList` is what executors execute.  Tasks keep their submission
 ``index`` so out-of-order completion (threads, processes, remote queue
 workers) can always be reassembled into submission order — the property the
-bit-identical-across-backends guarantees of :mod:`repro.eval.sweep` and
-:class:`repro.bnn.model.InferenceEngine` rest on.
+bit-identical-across-backends guarantees of :mod:`repro.eval.sweep` rest
+on.
 """
 
 from __future__ import annotations

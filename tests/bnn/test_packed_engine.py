@@ -288,6 +288,12 @@ class TestInferenceEngine:
         assert not np.array_equal(
             noisy_a.forward_batch(x, batch_size=8), clean
         )
+        # each chunk's flip noise is a function of its row offset alone
+        assert np.array_equal(
+            noisy_a.forward_batch(x, batch_size=5),
+            np.concatenate([noisy_b._run_chunk(x[start:start + 5], start)
+                            for start in range(0, len(x), 5)]),
+        )
 
     def test_flip_rate_callable_resolves_per_layer(self):
         rng = make_rng(31)
@@ -395,65 +401,8 @@ class TestWeightPackCache:
         assert packed.bit_length == 3 * 9
 
 
-class TestParallelForwardBatch:
-    """The per-chunk parallel seam: every runtime backend is bit-exact."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**16), total=st.integers(2, 24),
-           chunk=st.integers(1, 9))
-    def test_thread_backend_bit_exact_property(self, seed, total, chunk):
-        rng = np.random.default_rng(seed)
-        model = _small_mlp(rng)
-        for layer in model.layers:
-            if isinstance(layer, BatchNorm):
-                _randomise_batchnorm(layer, rng)
-        model.eval()
-        x = rng.uniform(-2, 2, size=(total, 12))
-        engine = InferenceEngine(model)
-        serial = engine.forward_batch(x, batch_size=chunk)
-        threaded = engine.forward_batch(x, batch_size=chunk,
-                                        backend="thread", workers=3)
-        assert np.array_equal(serial, threaded)
-
-    @pytest.mark.parametrize("backend,workers", [
-        ("thread", 2), ("process", 2), ("queue", 1),
-    ])
-    def test_all_backends_bit_exact_on_cnn(self, backend, workers):
-        rng = make_rng(31)
-        model = _small_cnn(rng)
-        model.eval()
-        x = rng.uniform(-2, 2, size=(10, 3, 8, 8))
-        engine = InferenceEngine(model)
-        serial = engine.forward_batch(x, batch_size=3)
-        parallel = engine.forward_batch(x, batch_size=3, backend=backend,
-                                        workers=workers)
-        assert np.array_equal(serial, parallel), backend
-
-    def test_legacy_workers_kwarg_selects_process_backend(self):
-        rng = make_rng(37)
-        model = _small_mlp(rng)
-        model.eval()
-        x = rng.uniform(-2, 2, size=(12, 12))
-        engine = InferenceEngine(model)
-        assert np.array_equal(
-            engine.forward_batch(x, batch_size=4),
-            engine.forward_batch(x, batch_size=4, workers=2),
-        )
-
-    def test_noise_streams_independent_of_backend(self):
-        """Flip noise derives from chunk offsets, not execution order."""
-        rng = make_rng(41)
-        model = _small_mlp(rng)
-        model.eval()
-        x = rng.uniform(-2, 2, size=(20, 12))
-        engine = InferenceEngine(model, flip_rate=0.2, seed=7)
-        serial = engine.forward_batch(x, batch_size=5)
-        threaded = engine.forward_batch(x, batch_size=5, backend="thread",
-                                        workers=4)
-        processed = engine.forward_batch(x, batch_size=5, backend="process",
-                                         workers=2)
-        assert np.array_equal(serial, threaded)
-        assert np.array_equal(serial, processed)
+class TestSerialForwardBatch:
+    """The chunk loop is serial; engines still pickle for sweep workers."""
 
     def test_engine_with_flip_rate_callable_is_picklable(self):
         import pickle
@@ -471,20 +420,6 @@ class TestParallelForwardBatch:
             engine.forward_batch(x, batch_size=2),
             clone.forward_batch(x, batch_size=2),
         )
-
-    def test_caller_owned_executor_reused(self):
-        from repro.runtime import ThreadExecutor
-
-        rng = make_rng(47)
-        model = _small_mlp(rng)
-        model.eval()
-        x = rng.uniform(-2, 2, size=(9, 12))
-        engine = InferenceEngine(model)
-        with ThreadExecutor(2) as executor:
-            first = engine.forward_batch(x, batch_size=3, executor=executor)
-            second = engine.forward_batch(x, batch_size=3, executor=executor)
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, engine.forward_batch(x, batch_size=3))
 
     def test_env_toggle_does_not_reach_the_engine(self, monkeypatch):
         """REPRO_RUNTIME_BACKEND governs the sweep fleet, not chunk loops

@@ -158,27 +158,6 @@ class TestModeResolution:
         with pytest.raises(ValueError, match="pipeline"):
             pipeline_mode("bogus")
 
-    def test_forward_batch_rejects_pipeline_with_parallel_knobs(self):
-        rng = make_rng(4)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(4, 12))
-        with pytest.raises(ValueError, match="serial path"):
-            engine.forward_batch(x, batch_size=2, pipeline="on",
-                                 backend="thread")
-        with pytest.raises(ValueError, match="serial path"):
-            engine.forward_batch(x, batch_size=2, pipeline="on", workers=2)
-
-    def test_env_on_defers_to_explicit_executor(self, monkeypatch):
-        # a fleet-wide REPRO_ENGINE_PIPELINE=on must not break callers
-        # that pass chunk-parallel knobs — the env silently defers
-        monkeypatch.setenv(PIPELINE_ENV, "on")
-        rng = make_rng(5)
-        engine = InferenceEngine(_small_mlp(rng))
-        x = rng.uniform(-1, 1, size=(5, 12))
-        serial = engine.forward_batch(x, batch_size=2, pipeline="off")
-        threaded = engine.forward_batch(x, batch_size=2, backend="thread")
-        assert serial.tobytes() == threaded.tobytes()
-
 
 class TestBitExactness:
     @settings(max_examples=20, deadline=None)

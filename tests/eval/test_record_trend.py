@@ -35,7 +35,7 @@ def _write_artifacts(root, *, smoke=False, img_per_s=100.0, serving_rps=900.0):
         "smoke": smoke,
         "networks": {"CNN-M": {"packed_images_per_s": img_per_s,
                                "speedup_vs_dense": 5.0}},
-        "parallel_forward_batch": {"speedup_vs_serial": 1.5},
+        "streaming_pipeline": {"speedup_vs_serial": 1.5},
     }
     serving = {
         "smoke": smoke,
@@ -85,7 +85,7 @@ class TestExtractMetrics:
         metrics = cli.extract_metrics(sweep, inference)
         assert metrics["conv_blas_speedup_vs_loop"] == 800.0
         assert metrics["CNN-M.packed_images_per_s"] == 100.0
-        assert metrics["parallel_chunk_speedup"] == 1.5
+        assert metrics["streaming_pipeline_speedup"] == 1.5
 
     def test_missing_artifacts_yield_partial_metrics(self, cli, tmp_path):
         _write_artifacts(str(tmp_path))

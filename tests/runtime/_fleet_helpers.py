@@ -67,51 +67,6 @@ def record_and_slow_double(arg):
     return 2 * x
 
 
-def shm_square_rows(arg):
-    """``(start, stop, in_desc, out_desc, delay_s, marker_path)``.
-
-    The shared-memory analogue of ``record_and_slow_double``: attaches
-    the input segment read-only, sleeps (long enough to SIGKILL the
-    hosting worker mid-chunk), squares the ``[start, stop)`` rows into
-    the output segment and logs the execution.  Used to prove that a
-    worker killed mid-chunk leaks no segment, that the chunk is
-    re-executed, and that the recovered bytes match the serial oracle.
-    """
-    from repro.runtime.shm import attach_view
-
-    start, stop, in_desc, out_desc, delay_s, marker_path = arg
-    with open(marker_path, "a", encoding="utf-8") as handle:
-        handle.write(f"{start}\n")
-    time.sleep(delay_s)
-    rows = attach_view(in_desc, readonly=True)[start:stop]
-    out = attach_view(out_desc, readonly=False)
-    out[start:stop] = rows ** 2
-    return (start, None)
-
-
-def shm_square_rows_die_once(arg):
-    """``shm_square_rows`` that SIGKILLs its first hosting worker.
-
-    The kill lands *after* the marker write and the input attach but
-    before any output row is written — the worst spot: the worker dies
-    holding a live mapping of both segments.
-    """
-    from repro.runtime.shm import attach_view
-
-    start, stop, in_desc, out_desc, delay_s, marker_path = arg
-    first_attempt = not os.path.exists(marker_path)
-    with open(marker_path, "a", encoding="utf-8") as handle:
-        handle.write(f"{start}\n")
-    attach_view(in_desc, readonly=True)
-    if first_attempt:
-        os.kill(os.getpid(), signal.SIGKILL)
-    time.sleep(delay_s)
-    rows = attach_view(in_desc, readonly=True)[start:stop]
-    out = attach_view(out_desc, readonly=False)
-    out[start:stop] = rows ** 2
-    return (start, None)
-
-
 def slow_evaluate_point(spec):
     """A sweep grid point slowed enough to SIGKILL a worker mid-task.
 

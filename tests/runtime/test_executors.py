@@ -166,8 +166,11 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor(backend="serial"), SerialExecutor)
 
     def test_env_opt_out(self, monkeypatch):
+        # there is no env=False switch: an explicit backend is the only
+        # way past the toggle (test_explicit_backend_wins_over_env)
         monkeypatch.setenv(BACKEND_ENV, "process")
-        assert isinstance(resolve_executor(env=False), SerialExecutor)
+        with pytest.raises(TypeError):
+            resolve_executor(env=False)
 
     def test_invalid_env_value_raises(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "gpu")
